@@ -53,10 +53,13 @@ bench:
 # AllocsPerRun guards that pin the steady-state paths at 0 allocs/op —
 # both with observability off (the hooks must be free) and with a full
 # observer attached (counters, tracer, checker must not allocate either).
+# The fluid layer's number is BenchmarkDCQCNFluidN64's ns/flow-step; its
+# guard pins the DCQCN right-hand sides at 0 allocs per call.
 bench-smoke:
 	$(GO) test -timeout 5m -run='^$$' -bench='HandlerEvents|ClosureEvents|PortChain' \
 		-benchmem -benchtime=1x ./internal/des ./internal/netsim
-	$(GO) test -timeout 5m -run='AllocFree' ./internal/des ./internal/netsim ./internal/obs
+	$(GO) test -timeout 5m -run='^$$' -bench='DCQCNFluidN64' -benchmem -benchtime=1x ./internal/fluid
+	$(GO) test -timeout 5m -run='AllocFree' ./internal/des ./internal/netsim ./internal/obs ./internal/fluid
 
 # Determinism gate: a faulty packet-level run (loss + feedback loss +
 # go-back-N recovery) executed twice must produce byte-identical output.

@@ -49,12 +49,6 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 	return lo + (hi-lo)/2, nil
 }
 
-// Pow1mp computes (1-p)^x accurately for small p via exp(x*log1p(-p)).
-func Pow1mp(p, x float64) float64 { return math.Exp(x * math.Log1p(-p)) }
-
-// Expm1Pow computes (1-p)^x - 1 accurately for small p.
-func Expm1Pow(p, x float64) float64 { return math.Expm1(x * math.Log1p(-p)) }
-
 // DCQCNParams are the fluid-model parameters of Table 1. Rates are in
 // packets/second and buffer quantities in packets, so the per-packet marking
 // probability p composes directly with them.
@@ -150,17 +144,55 @@ type DCQCNFixedPoint struct {
 	RT    float64 // target rate at the fixed point, packets/s
 }
 
-// dcqcnABCDE evaluates the a,b,c,d,e terms of Eq. 12 at marking
-// probability p and per-flow rate rc.
-func dcqcnABCDE(pr DCQCNParams, p, rc float64) (a, b, c, d, e float64) {
-	a = -Expm1Pow(p, pr.Tau*rc) // 1-(1-p)^{τ rc}
-	denB := Expm1Pow(p, -pr.B)  // (1-p)^{-B} - 1
-	b = p / denB
-	c = Pow1mp(p, pr.F*pr.B) * p / denB
-	denT := Expm1Pow(p, -pr.T*rc) // (1-p)^{-T rc} - 1
+// DCQCNRates is the Eq. 12 event-rate kernel at one marking probability p.
+// It holds what depends on p alone — log1p(-p) and the flow-independent
+// byte-counter terms b and c — so each flow's terms cost three expm1 and
+// one exp. Every power (1-p)^x is evaluated as exp(x·log1p(-p)), which
+// stays accurate for tiny p where 1-p rounds away. Below p = 1e-12 the
+// closed forms are 0/0 and the kernel takes their p→0 limits instead:
+// a → τ·rc·p, b,c → 1/B and d,e → 1/(T·rc).
+type DCQCNRates struct {
+	B, C float64 // Eq. 12's b and c
+
+	pr   *DCQCNParams
+	p    float64
+	l    float64 // log1p(-p)
+	rmin float64
+}
+
+// NewDCQCNRates builds the kernel at marking probability p. Flow clamps
+// the delayed rate of its a, d and e terms to rmin (zero for none).
+func NewDCQCNRates(pr *DCQCNParams, p, rmin float64) DCQCNRates {
+	k := DCQCNRates{pr: pr, p: p, l: math.Log1p(-p), rmin: rmin}
+	if p < 1e-12 {
+		k.B = 1 / pr.B
+		k.C = 1 / pr.B
+		return k
+	}
+	denB := math.Expm1(-pr.B * k.l) // (1-p)^{-B} - 1
+	k.B = p / denB
+	k.C = math.Exp(pr.F*pr.B*k.l) * p / denB
+	return k
+}
+
+// Flow returns the a, d and e terms of Eq. 12 for a flow whose delayed rate
+// is rc, and the Eq. 5 α target 1-(1-p)^{τ' rc}, which uses rc unclamped.
+func (k *DCQCNRates) Flow(rc float64) (a, d, e, alpha float64) {
+	pr, p := k.pr, k.p
+	alpha = -math.Expm1(pr.TauPrime * rc * k.l)
+	if rc < k.rmin {
+		rc = k.rmin
+	}
+	if p < 1e-12 {
+		a = pr.Tau * rc * p // → 0 with the right slope
+		d = 1 / (pr.T * rc)
+		return a, d, d, alpha
+	}
+	a = -math.Expm1(pr.Tau * rc * k.l)   // 1-(1-p)^{τ rc}
+	denT := math.Expm1(-pr.T * rc * k.l) // (1-p)^{-T rc} - 1
 	d = p / denT
-	e = Pow1mp(p, pr.F*pr.T*rc) * p / denT
-	return
+	e = math.Exp(pr.F*pr.T*rc*k.l) * p / denT
+	return a, d, e, alpha
 }
 
 // DCQCNResidual is the left-hand side minus right-hand side of Eq. 11 at
@@ -168,9 +200,9 @@ func dcqcnABCDE(pr DCQCNParams, p, rc float64) (a, b, c, d, e float64) {
 // p below the fixed point and positive above it.
 func DCQCNResidual(pr DCQCNParams, p float64) float64 {
 	rc := pr.C / float64(pr.N)
-	a, b, c, d, e := dcqcnABCDE(pr, p, rc)
-	alpha := -Expm1Pow(p, pr.TauPrime*rc)
-	return a*a*alpha/((b+d)*(c+e)) - pr.Tau*pr.Tau*pr.RAI*rc
+	k := NewDCQCNRates(&pr, p, 0)
+	a, d, e, alpha := k.Flow(rc)
+	return a*a*alpha/((k.B+d)*(k.C+e)) - pr.Tau*pr.Tau*pr.RAI*rc
 }
 
 // SolveDCQCN finds the unique fixed point of Theorem 1 by bisection of
@@ -185,16 +217,17 @@ func SolveDCQCN(pr DCQCNParams) (DCQCNFixedPoint, error) {
 	if err != nil {
 		return DCQCNFixedPoint{}, fmt.Errorf("dcqcn fixed point: %w", err)
 	}
+	k := NewDCQCNRates(&pr, p, 0)
+	a, _, e, alpha := k.Flow(rc)
 	fp := DCQCNFixedPoint{
 		P:     p,
 		Q:     p/pr.Pmax*(pr.Kmax-pr.Kmin) + pr.Kmin, // Eq. 9
-		Alpha: -Expm1Pow(p, pr.TauPrime*rc),          // Eq. 10
+		Alpha: alpha,                                 // Eq. 10
 		RC:    rc,
 	}
 	// R_T* from dR_T/dt = 0 (see the derivation of Eq. 11):
 	// (R_T - R_C) a/τ = R_AI R_C (c+e).
-	a, _, c, _, e := dcqcnABCDE(pr, p, rc)
-	fp.RT = rc + pr.Tau*pr.RAI*rc*(c+e)/a
+	fp.RT = rc + pr.Tau*pr.RAI*rc*(k.C+e)/a
 	return fp, nil
 }
 

@@ -58,16 +58,29 @@ func TestBisectNoBracket(t *testing.T) {
 	}
 }
 
-func TestPow1mpAccuracy(t *testing.T) {
-	// (1-p)^x for tiny p must not collapse to 1 due to float cancellation.
-	p := 1e-12
-	x := 1e6
-	want := math.Exp(-p * x) // ≈ 1 - 1e-6
-	if got := Pow1mp(p, x); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Pow1mp(%g,%g) = %v, want %v", p, x, got, want)
+// The Eq. 12 kernel must not lose tiny marking probabilities to float
+// cancellation: at p = 1e-12 its closed forms agree with the p→0 limits it
+// takes just below, so the switch between the two is seamless. A naive
+// 1-math.Pow(1-p, x) is off by 2e-5 there.
+func TestDCQCNRatesAccuracy(t *testing.T) {
+	pr := defaultParams(10)
+	rc := pr.C / float64(pr.N)
+	closed := NewDCQCNRates(&pr, 1e-12, 0)
+	limit := NewDCQCNRates(&pr, 0.999999e-12, 0)
+	a1, d1, e1, al1 := closed.Flow(rc)
+	a2, d2, e2, al2 := limit.Flow(rc)
+	for _, c := range []struct {
+		term        string
+		closed, lim float64
+	}{{"a", a1, a2}, {"b", closed.B, limit.B}, {"c", closed.C, limit.C}, {"d", d1, d2}, {"e", e1, e2}, {"alpha", al1, al2}} {
+		if rel := math.Abs(c.closed-c.lim) / math.Abs(c.lim); !(rel < 1e-5) {
+			t.Errorf("%s: closed form %v vs p→0 limit %v (rel %v)", c.term, c.closed, c.lim, rel)
+		}
 	}
-	if got := Expm1Pow(p, -x); math.Abs(got-1e-6) > 1e-9 {
-		t.Errorf("Expm1Pow = %v, want ~1e-6", got)
+	// At p = 0 the closed forms are 0/0; the limits keep Eq. 11 finite and
+	// negative, as it is everywhere below the fixed point.
+	if r := DCQCNResidual(pr, 0); !(r < 0) {
+		t.Errorf("DCQCNResidual(p=0) = %v, want negative", r)
 	}
 }
 

@@ -102,35 +102,9 @@ func (s *DCQCNSystem) RTIndex(i int) int { return 2 + 3*i }
 // RCIndex returns the state index of flow i's current rate.
 func (s *DCQCNSystem) RCIndex(i int) int { return 3 + 3*i }
 
-// abcde evaluates the event-rate terms of Eq. 12 at marking probability p
-// and (delayed) rate rc, taking the p→0 limits where the closed forms are
-// 0/0: b,c → 1/B and d,e → 1/(T·rc).
-func (s *DCQCNSystem) abcde(p, rc float64) (a, b, c, d, e float64) {
-	pr := s.cfg.Params
-	if rc < s.rmin {
-		rc = s.rmin
-	}
-	if p < 1e-12 {
-		a = pr.Tau * rc * p // → 0 with the right slope
-		b = 1 / pr.B
-		c = 1 / pr.B
-		d = 1 / (pr.T * rc)
-		e = d
-		return
-	}
-	a = -fixedpoint.Expm1Pow(p, pr.Tau*rc)
-	denB := fixedpoint.Expm1Pow(p, -pr.B)
-	b = p / denB
-	c = fixedpoint.Pow1mp(p, pr.F*pr.B) * p / denB
-	denT := fixedpoint.Expm1Pow(p, -pr.T*rc)
-	d = p / denT
-	e = fixedpoint.Pow1mp(p, pr.F*pr.T*rc) * p / denT
-	return
-}
-
 // Derivs implements ode.System with the Figure 1 equations.
 func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
-	pr := s.cfg.Params
+	pr := &s.cfg.Params
 	delay := pr.TauStar + s.jit.value()
 	tq := t - delay
 
@@ -179,22 +153,27 @@ func (s *DCQCNSystem) Derivs(t float64, y []float64, past ode.History, dydt []fl
 	}
 	dydt[0] = dq
 
+	k := fixedpoint.NewDCQCNRates(pr, pHat, s.rmin)
 	for i := 0; i < pr.N; i++ {
-		alpha := y[s.AlphaIndex(i)]
-		rt := y[s.RTIndex(i)]
-		rc := y[s.RCIndex(i)]
-		rcHat := past.Value(tq, s.RCIndex(i))
-		a, b, c, d, e := s.abcde(pHat, rcHat)
-
-		// Eq. 5: α tracks the marked fraction over the τ' window.
-		dydt[s.AlphaIndex(i)] = pr.G / pr.TauPrime * ((-fixedpoint.Expm1Pow(pHat, pr.TauPrime*rcHat)) - alpha)
-		// Eq. 6: target rate resets on cuts, rises with the byte counter
-		// and timer once past the F fast-recovery stages.
-		dydt[s.RTIndex(i)] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
-		// Eq. 7: multiplicative decrease on CNPs, fast recovery toward
-		// R_T on byte-counter and timer events.
-		dydt[s.RCIndex(i)] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
+		j := s.AlphaIndex(i)
+		dcqcnFlow(pr, &k, y[j:j+3], past.Value(tq, s.RCIndex(i)), dydt[j:j+3])
 	}
+}
+
+// dcqcnFlow writes one flow's Eq. 5-7 derivatives into dz, given its state
+// z = (α, R_T, R_C), its delayed rate rcHat and the Eq. 12 kernel at the
+// delayed marking probability.
+func dcqcnFlow(pr *fixedpoint.DCQCNParams, k *fixedpoint.DCQCNRates, z []float64, rcHat float64, dz []float64) {
+	alpha, rt, rc := z[0], z[1], z[2]
+	a, d, e, alphaT := k.Flow(rcHat)
+	// Eq. 5: α tracks the marked fraction over the τ' window.
+	dz[0] = pr.G / pr.TauPrime * (alphaT - alpha)
+	// Eq. 6: target rate resets on cuts, rises with the byte counter and
+	// timer once past the F fast-recovery stages.
+	dz[1] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(k.C+e)
+	// Eq. 7: multiplicative decrease on CNPs, fast recovery toward R_T on
+	// byte-counter and timer events.
+	dz[2] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(k.B+d)
 }
 
 // PostStep implements ode.PostStepper: clamp state to the physical domain

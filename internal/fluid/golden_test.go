@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"ecndelay/internal/des"
@@ -201,7 +200,7 @@ func TestTrajectoryGolden(t *testing.T) {
 				t.Fatalf("missing golden %s: %v", path, err)
 			}
 			if got != string(want) {
-				t.Errorf("%s: trajectory moved\ngot:\n%swant:\n%s", name, got, strings.TrimSpace(string(want))+"\n")
+				t.Errorf("%s: trajectory moved\ngot:\n%swant:\n%s", name, got, want)
 			}
 		})
 	}

@@ -51,14 +51,9 @@ func (l *DCQCNLoop) Equilibrium() ([]float64, float64, error) {
 // Derivs implements stability.LoopModel: the per-flow slice of Eq. 5-7 with
 // the queue (and hence marking probability) supplied externally.
 func (l *DCQCNLoop) Derivs(z []float64, zd [][]float64, qd []float64, dzdt []float64) {
-	pr := l.sys.cfg.Params
-	alpha, rt, rc := z[0], z[1], z[2]
-	rcHat := zd[0][2]
-	pHat := REDMarkExtended(qd[0], pr.Kmin, pr.Kmax, pr.Pmax)
-	a, b, c, d, e := l.sys.abcde(pHat, rcHat)
-	dzdt[0] = pr.G / pr.TauPrime * ((-fixedpoint.Expm1Pow(pHat, pr.TauPrime*rcHat)) - alpha)
-	dzdt[1] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
-	dzdt[2] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
+	pr := &l.sys.cfg.Params
+	k := fixedpoint.NewDCQCNRates(pr, REDMarkExtended(qd[0], pr.Kmin, pr.Kmax, pr.Pmax), l.sys.rmin)
+	dcqcnFlow(pr, &k, z, zd[0][2], dzdt)
 }
 
 // DCQCNIngressLoop is the DCQCN loop reduction with ingress marking
@@ -107,14 +102,7 @@ func (l *DCQCNIngressLoop) Equilibrium() ([]float64, float64, error) {
 // Derivs implements stability.LoopModel: identical dynamics to DCQCNLoop
 // except the marking probability reads the queue at the staler lag.
 func (l *DCQCNIngressLoop) Derivs(z []float64, zd [][]float64, qd []float64, dzdt []float64) {
-	pr := l.inner.sys.cfg.Params
-	alpha, rt, rc := z[0], z[1], z[2]
-	rcHat := zd[0][2] // rate self-feedback at τ*
-	pHat := REDMarkExtended(qd[1], pr.Kmin, pr.Kmax, pr.Pmax)
-	a, b, c, d, e := l.inner.sys.abcde(pHat, rcHat)
-	dzdt[0] = pr.G / pr.TauPrime * ((-fixedpoint.Expm1Pow(pHat, pr.TauPrime*rcHat)) - alpha)
-	dzdt[1] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
-	dzdt[2] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
+	l.inner.Derivs(z, zd, qd[1:], dzdt)
 }
 
 // PatchedTimelyLoop reduces the patched TIMELY model (Eq. 29) for the

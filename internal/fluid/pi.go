@@ -33,7 +33,7 @@ type DCQCNPIConfig struct {
 // DCQCNPISystem lays out state as y[0] = queue (packets), y[1] = marking
 // probability p, then per-flow (α, R_T, R_C) triples.
 type DCQCNPISystem struct {
-	inner *DCQCNSystem // reused for abcde and parameters
+	inner *DCQCNSystem // reused for parameters, clamps and jitter
 	pi    PIConfig
 }
 
@@ -93,7 +93,7 @@ func (s *DCQCNPISystem) Initial() []float64 {
 
 // Derivs implements ode.System.
 func (s *DCQCNPISystem) Derivs(t float64, y []float64, past ode.History, dydt []float64) {
-	pr := s.inner.cfg.Params
+	pr := &s.inner.cfg.Params
 	delay := pr.TauStar + s.inner.jit.value()
 	tq := t - delay
 
@@ -117,15 +117,10 @@ func (s *DCQCNPISystem) Derivs(t float64, y []float64, past ode.History, dydt []
 	}
 
 	pHat := clamp(past.Value(tq, 1), 0, 1)
+	k := fixedpoint.NewDCQCNRates(pr, pHat, s.inner.rmin)
 	for i := 0; i < pr.N; i++ {
-		alpha := y[s.AlphaIndex(i)]
-		rt := y[s.RTIndex(i)]
-		rc := y[s.RCIndex(i)]
-		rcHat := past.Value(tq, s.RCIndex(i))
-		a, b, c, d, e := s.inner.abcde(pHat, rcHat)
-		dydt[s.AlphaIndex(i)] = pr.G / pr.TauPrime * ((-fixedpoint.Expm1Pow(pHat, pr.TauPrime*rcHat)) - alpha)
-		dydt[s.RTIndex(i)] = -(rt-rc)/pr.Tau*a + pr.RAI*rcHat*(c+e)
-		dydt[s.RCIndex(i)] = -rc*alpha/(2*pr.Tau)*a + (rt-rc)/2*rcHat*(b+d)
+		j := s.AlphaIndex(i)
+		dcqcnFlow(pr, &k, y[j:j+3], past.Value(tq, s.RCIndex(i)), dydt[j:j+3])
 	}
 }
 

@@ -122,7 +122,7 @@ func (b *BackgroundAggregate) markProb() float64 {
 
 // tick advances the aggregate by one coupling interval.
 func (b *BackgroundAggregate) tick() {
-	pr := b.cfg.Par
+	pr := &b.cfg.Par
 	dt := b.cfg.Tick.Seconds()
 
 	// Foreground service share over the last tick, in packets/s. The
@@ -143,19 +143,21 @@ func (b *BackgroundAggregate) tick() {
 	b.pPos = (b.pPos + 1) % len(b.pHist)
 
 	// Integrate the symmetric Figure 1 dynamics with the delayed p frozen
-	// across the tick. Euler substeps keep the stiff α/rate terms stable
-	// at the 10 µs coupling cadence.
+	// across the tick, so one Eq. 12 kernel serves every substep. Euler
+	// substeps keep the stiff α/rate terms stable at the 10 µs coupling
+	// cadence.
 	sub := int(dt/1e-6 + 0.5)
 	if sub < 1 {
 		sub = 1
 	}
 	h := dt / float64(sub)
 	n := float64(b.cfg.Flows)
+	k := fixedpoint.NewDCQCNRates(pr, pDel, b.rmin)
 	for s := 0; s < sub; s++ {
-		a, bb, c, d, e := dcqcnABCDE(pr, pDel, b.rc, b.rmin)
-		dAlpha := pr.G / pr.TauPrime * ((-fixedpoint.Expm1Pow(pDel, pr.TauPrime*b.rc)) - b.alpha)
-		dRT := -(b.rt-b.rc)/pr.Tau*a + pr.RAI*b.rc*(c+e)
-		dRC := -b.rc*b.alpha/(2*pr.Tau)*a + (b.rt-b.rc)/2*b.rc*(bb+d)
+		a, d, e, alphaT := k.Flow(b.rc)
+		dAlpha := pr.G / pr.TauPrime * (alphaT - b.alpha)
+		dRT := -(b.rt-b.rc)/pr.Tau*a + pr.RAI*b.rc*(k.C+e)
+		dRC := -b.rc*b.alpha/(2*pr.Tau)*a + (b.rt-b.rc)/2*b.rc*(k.B+d)
 		dQ := n*b.rc - avail
 		if b.qBg <= 0 && dQ < 0 {
 			dQ = 0
@@ -169,30 +171,6 @@ func (b *BackgroundAggregate) tick() {
 		}
 	}
 	b.port.Queue().SetVirtualBytes(int(b.qBg * MTU))
-}
-
-// dcqcnABCDE mirrors the fluid model's Eq. 12 event-rate terms, including
-// the p→0 limits (fluid.DCQCNSystem.abcde).
-func dcqcnABCDE(pr fixedpoint.DCQCNParams, p, rc, rmin float64) (a, b, c, d, e float64) {
-	if rc < rmin {
-		rc = rmin
-	}
-	if p < 1e-12 {
-		a = pr.Tau * rc * p
-		b = 1 / pr.B
-		c = 1 / pr.B
-		d = 1 / (pr.T * rc)
-		e = d
-		return
-	}
-	a = -fixedpoint.Expm1Pow(p, pr.Tau*rc)
-	denB := fixedpoint.Expm1Pow(p, -pr.B)
-	b = p / denB
-	c = fixedpoint.Pow1mp(p, pr.F*pr.B) * p / denB
-	denT := fixedpoint.Expm1Pow(p, -pr.T*rc)
-	d = p / denT
-	e = fixedpoint.Pow1mp(p, pr.F*pr.T*rc) * p / denT
-	return
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -5,8 +5,9 @@
 // reference state at earlier times (the feedback delay τ* in DCQCN, the
 // state-dependent RTT τ' in TIMELY). Go has no numerical DDE ecosystem, so
 // this package provides one from scratch: a dense, uniformly-spaced history
-// ring buffer with linear interpolation serves past-state lookups at
-// arbitrary (possibly state-dependent) lags.
+// ring buffer serves past-state lookups at arbitrary (possibly
+// state-dependent) lags, by cubic Hermite interpolation from the stored
+// step derivatives (or linear interpolation, with Solver.LinearHistory).
 package ode
 
 import (
@@ -82,6 +83,16 @@ type history struct {
 	init  func(t float64, out []float64)
 	y0    []float64
 	tmp   []float64
+
+	// The last interior lookup: its time, the buf offsets of the two
+	// bracketing points and their interpolation weights (memoW[0] alone
+	// in linear mode). A system reads many components at one lag, so each
+	// lag's weights are computed once. push invalidates it by setting
+	// memoT to NaN, which equals no query time.
+	memoT float64
+	memo0 int
+	memo1 int
+	memoW [4]float64
 }
 
 func newHistory(dim, capac int, h, t0 float64, y0 []float64, init func(float64, []float64), hermite bool) *history {
@@ -96,6 +107,7 @@ func newHistory(dim, capac int, h, t0 float64, y0 []float64, init func(float64, 
 	hs.tcur = t0
 	copy(hs.buf[:dim], y0)
 	hs.n = 1
+	hs.memoT = math.NaN()
 	return hs
 }
 
@@ -124,18 +136,13 @@ func (hs *history) push(t float64, y, dyPrev, dyEnd []float64) {
 		}
 	}
 	hs.tcur = t
+	hs.memoT = math.NaN()
 }
 
-// at returns the i-th stored point (0 = oldest).
+// point returns the i-th stored point (0 = oldest).
 func (hs *history) point(i int) []float64 {
 	idx := (hs.start + i) % hs.capac
 	return hs.buf[idx*hs.dim : (idx+1)*hs.dim]
-}
-
-// slopeAt returns the stored derivative of the i-th point (Hermite mode).
-func (hs *history) slopeAt(i int) []float64 {
-	idx := (hs.start + i) % hs.capac
-	return hs.slope[idx*hs.dim : (idx+1)*hs.dim]
 }
 
 func (hs *history) oldestTime() float64 { return hs.tcur - float64(hs.n-1)*hs.h }
@@ -148,14 +155,7 @@ func (hs *history) Value(tq float64, idx int) float64 {
 		}
 		return hs.y0[idx]
 	}
-	oldest := hs.oldestTime()
-	if tq < oldest {
-		panic(fmt.Sprintf("ode: history lookup at t=%g before oldest stored %g; increase Solver.MaxDelay", tq, oldest))
-	}
-	// Fractional index into the uniformly spaced ring.
-	f := (tq - oldest) / hs.h
-	i := int(f)
-	if i >= hs.n-1 {
+	if tq != hs.memoT && !hs.locate(tq) {
 		// At or beyond the newest point: linear extrapolation from the
 		// last two points (constant if only one exists). Runge-Kutta
 		// stages evaluate at t+h/2 and t+h, so a lag smaller than the
@@ -168,20 +168,44 @@ func (hs *history) Value(tq float64, idx int) float64 {
 		a := (tq - hs.tcur) / hs.h
 		return last[idx] + a*(last[idx]-prev[idx])
 	}
-	a := f - float64(i)
-	p0 := hs.point(i)
-	p1 := hs.point(i + 1)
+	p0, p1, w := hs.buf[hs.memo0+idx], hs.buf[hs.memo1+idx], &hs.memoW
 	if hs.slope == nil {
-		return p0[idx] + a*(p1[idx]-p0[idx])
+		return p0 + w[0]*(p1-p0)
 	}
 	// Cubic Hermite: third-order accurate between stored points, versus
 	// second-order for the linear form — the interpolation no longer
 	// limits RK4's global order on delayed lookups.
-	d0 := hs.slopeAt(i)[idx] * hs.h
-	d1 := hs.slopeAt(i + 1)[idx] * hs.h
+	d0 := hs.slope[hs.memo0+idx] * hs.h
+	d1 := hs.slope[hs.memo1+idx] * hs.h
+	return w[0]*p0 + w[1]*d0 + w[2]*p1 + w[3]*d1
+}
+
+// locate memoises the bracketing points and weights of an interior lookup
+// at tq. It reports false, leaving the memo alone, when tq lies at or past
+// the newest point.
+func (hs *history) locate(tq float64) bool {
+	oldest := hs.oldestTime()
+	if tq < oldest {
+		panic(fmt.Sprintf("ode: history lookup at t=%g before oldest stored %g; increase Solver.MaxDelay", tq, oldest))
+	}
+	// Fractional index into the uniformly spaced ring.
+	f := (tq - oldest) / hs.h
+	i := int(f)
+	if i >= hs.n-1 {
+		return false
+	}
+	a := f - float64(i)
+	hs.memoT = tq
+	hs.memo0 = (hs.start + i) % hs.capac * hs.dim
+	hs.memo1 = (hs.start + i + 1) % hs.capac * hs.dim
+	if hs.slope == nil {
+		hs.memoW[0] = a
+		return true
+	}
 	a2 := a * a
 	a3 := a2 * a
-	return (2*a3-3*a2+1)*p0[idx] + (a3-2*a2+a)*d0 + (-2*a3+3*a2)*p1[idx] + (a3-a2)*d1
+	hs.memoW = [4]float64{2*a3 - 3*a2 + 1, a3 - 2*a2 + a, -2*a3 + 3*a2, a3 - a2}
+	return true
 }
 
 // Integrate advances the system from t0 to t1 (t1 > t0), invoking obs (if

@@ -311,3 +311,122 @@ func TestHermiteQuadraticExact(t *testing.T) {
 		t.Errorf("∫y(t-τ) = %v, want %v", y[1], want)
 	}
 }
+
+// refValue is the interior history lookup written out directly from the
+// ring, with no memo: the oracle the memoised lookups must match bit for
+// bit.
+func refValue(hs *history, tq float64, idx int) float64 {
+	f := (tq - hs.oldestTime()) / hs.h
+	i := int(f)
+	a := f - float64(i)
+	p0, p1 := hs.point(i)[idx], hs.point(i + 1)[idx]
+	if hs.slope == nil {
+		return p0 + a*(p1-p0)
+	}
+	r0 := (hs.start + i) % hs.capac * hs.dim
+	r1 := (hs.start + i + 1) % hs.capac * hs.dim
+	d0 := hs.slope[r0+idx] * hs.h
+	d1 := hs.slope[r1+idx] * hs.h
+	a2 := a * a
+	a3 := a2 * a
+	return (2*a3-3*a2+1)*p0 + (a3-2*a2+a)*d0 + (-2*a3+3*a2)*p1 + (a3-a2)*d1
+}
+
+// memoHistory is a 3-component history of capacity capac with n pushed
+// steps of step 0.1 whose states and slopes are distinct per component.
+func memoHistory(capac, n int, hermite bool) *history {
+	hs := newHistory(3, capac, 0.1, 0, []float64{1, 2, 3}, nil, hermite)
+	for i := 1; i <= n; i++ {
+		tt := float64(i) * 0.1
+		y := []float64{math.Sin(tt), math.Cos(3 * tt), tt * tt}
+		dy := []float64{math.Cos(tt), -3 * math.Sin(3*tt), 2 * tt}
+		hs.push(tt, y, dy, dy)
+	}
+	return hs
+}
+
+// checkBits fails unless the lookup at (tq, idx) matches the oracle exactly.
+func checkBits(t *testing.T, hs *history, tq float64, idx int) {
+	t.Helper()
+	got, want := hs.Value(tq, idx), refValue(hs, tq, idx)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("Value(%v, %d) = %v, want %v (bitwise)", tq, idx, got, want)
+	}
+}
+
+// Every component read at one lag after the first is served from the memo,
+// and must carry the same bits as a fresh lookup, in both interpolation
+// modes.
+func TestHistoryMemoHitMatchesFreshLookup(t *testing.T) {
+	for _, hermite := range []bool{true, false} {
+		hs := memoHistory(8, 20, hermite)
+		for _, tq := range []float64{1.35, 1.4, 1.47, 1.91, 1.999} {
+			for idx := 0; idx < 3; idx++ {
+				checkBits(t, hs, tq, idx)
+				if hs.memoT != tq {
+					t.Errorf("hermite=%v: interior lookup at %v not memoised (memo %v)", hermite, tq, hs.memoT)
+				}
+			}
+			for idx := 2; idx >= 0; idx-- {
+				checkBits(t, hs, tq, idx)
+			}
+		}
+	}
+}
+
+// push must invalidate the memo: it rewrites the previous newest point's
+// slope and may evict the memoised rows.
+func TestHistoryPushInvalidatesMemo(t *testing.T) {
+	hs := memoHistory(4, 10, true)
+	tq := 0.95 // between the two newest points
+	checkBits(t, hs, tq, 1)
+	hs.push(1.1, []float64{9, 9, 9}, []float64{-50, 50, 7}, []float64{1, 1, 1})
+	if !math.IsNaN(hs.memoT) {
+		t.Fatalf("memo survived push: %v", hs.memoT)
+	}
+	checkBits(t, hs, tq, 1) // reads the slope push just rewrote
+
+	old := hs.oldestTime() + 0.05
+	checkBits(t, hs, old, 0)
+	for i := 12; i <= 14; i++ {
+		hs.push(float64(i)*0.1, []float64{0, 0, 0}, nil, nil)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("lookup of an evicted point was served instead of panicking")
+		}
+	}()
+	hs.Value(old, 0)
+}
+
+// The ingress-marking bisection alternates lags within one right-hand side;
+// each switch must re-derive the rows and weights, never reuse stale ones.
+func TestHistoryMemoAlternatingLags(t *testing.T) {
+	for _, hermite := range []bool{true, false} {
+		hs := memoHistory(16, 30, hermite)
+		lags := []float64{2.25, 1.62, 2.25, 2.93, 1.62, 1.62, 2.931, 2.25}
+		for k, tq := range lags {
+			checkBits(t, hs, tq, k%3)
+			checkBits(t, hs, tq, (k+1)%3)
+		}
+	}
+}
+
+// Lookups at or before t0 (the initial history) and past the newest point
+// (extrapolation) bypass the memo and leave it intact.
+func TestHistoryMemoBypassBranches(t *testing.T) {
+	hs := memoHistory(32, 10, true)
+	hs.init = func(tt float64, out []float64) { out[0], out[1], out[2] = tt, 2*tt, 3*tt }
+	checkBits(t, hs, 0.55, 2)
+	if got := hs.Value(-0.2, 1); got != -0.4 {
+		t.Errorf("initial-history lookup = %v, want -0.4", got)
+	}
+	last, prev := hs.point(hs.n - 1)[0], hs.point(hs.n - 2)[0]
+	if got, want := hs.Value(1.04, 0), last+0.4*(last-prev); math.Abs(got-want) > 1e-15 {
+		t.Errorf("extrapolated lookup = %v, want %v", got, want)
+	}
+	if hs.memoT != 0.55 {
+		t.Errorf("bypass branches disturbed the memo: %v", hs.memoT)
+	}
+	checkBits(t, hs, 0.55, 0)
+}
